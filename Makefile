@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-quick bench-smoke bench-trajectory bench-xl serve loadgen examples clean fmt
+.PHONY: all build test bench bench-quick bench-smoke bench-trajectory bench-xl serve loadgen examples loc clean fmt
 
 all: build test bench-smoke
 
@@ -47,6 +47,15 @@ examples:
 	dune exec examples/adaptive_updates.exe
 	dune exec examples/branching_queries.exe
 	dune exec examples/self_tuning.exe
+
+# OCaml line counts (*.ml + *.mli) per source tree, as a Markdown
+# table; ROADMAP tracks the size of lib/.
+loc:
+	@echo '| tree | lines |'
+	@echo '|---|---:|'
+	@for d in lib test bench bin; do \
+	  echo "| $$d/ | $$(find $$d \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l) |"; \
+	done
 
 clean:
 	dune clean

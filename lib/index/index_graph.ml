@@ -879,22 +879,30 @@ let as_data_graph t =
       iter_children t nd.id (fun c -> edges := (du, Hashtbl.find rev c) :: !edges));
   (Data_graph.make ~pool ~labels ~edges:!edges (), map)
 
-let compact t =
-  let dense = Hashtbl.create t.n_alive in
+(* Every live node has a non-empty extent, so the scan numbers exactly
+   [n_alive] classes. *)
+let dense_classes t =
+  let dense = Array.make t.next_id (-1) in
+  let order = Array.make t.n_alive 0 in
   let count = ref 0 in
-  let ks = ref [] and reqs = ref [] in
-  iter_alive t (fun nd ->
-      Hashtbl.add dense nd.id !count;
-      ks := (!count, nd.k) :: !ks;
-      reqs := (!count, nd.req) :: !reqs;
-      incr count);
-  let k_of = Array.make !count 0 and req_of = Array.make !count 0 in
-  List.iter (fun (c, k) -> k_of.(c) <- k) !ks;
-  List.iter (fun (c, r) -> req_of.(c) <- r) !reqs;
-  let cls = Array.map (fun id -> Hashtbl.find dense id) t.cls in
-  of_partition t.data ~cls ~n_classes:!count
-    ~k_of_class:(fun c -> k_of.(c))
-    ~req_of_class:(fun c -> req_of.(c))
+  let cls =
+    Array.init (Array.length t.cls) (fun u ->
+        let id = t.cls.(u) in
+        if dense.(id) < 0 then begin
+          dense.(id) <- !count;
+          order.(!count) <- id;
+          incr count
+        end;
+        dense.(id))
+  in
+  (cls, order)
+
+let copy t =
+  let cls, order = dense_classes t in
+  let of_class c = node t order.(c) in
+  of_partition (Data_graph.copy t.data) ~cls ~n_classes:(Array.length order)
+    ~k_of_class:(fun c -> (of_class c).k)
+    ~req_of_class:(fun c -> (of_class c).req)
 
 let partition_signature t =
   let n = Data_graph.n_nodes t.data in

@@ -223,10 +223,18 @@ val as_data_graph : t -> Data_graph.t * int array
     and a map from derived node id to index node id.  The derived node
     [0] is the index node holding the data root. *)
 
-val compact : t -> t
-(** A fresh, densely-numbered copy of the live index over the same data
-    graph (many splits leave retired slots behind).  Forwarding history
-    is dropped. *)
+val dense_classes : t -> int array * int array
+(** [(cls, order)]: the live classes renumbered densely in first-touch
+    order over data nodes.  [cls.(u)] is data node [u]'s dense class and
+    [order.(c)] the index node id behind dense class [c].  This is the
+    numbering {!Index_serial} writes. *)
+
+val copy : t -> t
+(** A deep, independent copy (data graph and label pool included)
+    renumbered by {!dense_classes}, so
+    [Index_serial.to_string (copy t) = Index_serial.to_string t].
+    Retired slots, forwarding history, the tracer and the generation
+    counter are not carried over. *)
 
 val partition_signature : t -> (int * int) array
 (** For testing: array indexed by data node of

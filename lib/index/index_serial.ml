@@ -3,46 +3,33 @@ open Dkindex_graph
 let magic_v1 = "dkindex-index 1"
 let magic = "dkindex-index 2"
 
+let enc k = if k >= Index_graph.k_infinite then -1 else k
+
 let to_string t =
   let data = Index_graph.data t in
   let n = Data_graph.n_nodes data in
-  (* Dense class ids in first-touch order over data nodes. *)
-  let dense = Hashtbl.create 256 in
-  let order = ref [] and count = ref 0 in
-  let tail = Buffer.create (n * 4) in
-  Buffer.add_string tail "cls\n";
-  for u = 0 to n - 1 do
-    let id = Index_graph.cls t u in
-    let c =
-      match Hashtbl.find_opt dense id with
-      | Some c -> c
-      | None ->
-        let c = !count in
-        incr count;
-        Hashtbl.add dense id c;
-        order := id :: !order;
-        c
-    in
-    Buffer.add_string tail (string_of_int c);
-    Buffer.add_char tail '\n'
-  done;
-  Buffer.add_string tail (Printf.sprintf "classes %d\n" !count);
-  List.iter
-    (fun id ->
-      let nd = Index_graph.node t id in
-      let enc k = if k >= Index_graph.k_infinite then -1 else k in
-      Buffer.add_string tail
-        (Printf.sprintf "%d %d\n" (enc nd.Index_graph.k) (enc nd.Index_graph.req)))
-    (List.rev !order);
+  let cls, order = Index_graph.dense_classes t in
+  let nc = Array.length order in
   let buf = Buffer.create (n * 8) in
   Buffer.add_string buf magic;
   Buffer.add_char buf '\n';
-  Buffer.add_string buf
-    (Printf.sprintf "counts %d %d %d\n" n (Data_graph.n_edges data) !count);
+  Buffer.add_string buf (Printf.sprintf "counts %d %d %d\n" n (Data_graph.n_edges data) nc);
   let graph_text = Serial.to_string data in
   Buffer.add_string buf (Printf.sprintf "graph %d\n" (String.length graph_text));
   Buffer.add_string buf graph_text;
-  Buffer.add_buffer buf tail;
+  Buffer.add_string buf "cls\n";
+  Array.iter
+    (fun c ->
+      Buffer.add_string buf (string_of_int c);
+      Buffer.add_char buf '\n')
+    cls;
+  Buffer.add_string buf (Printf.sprintf "classes %d\n" nc);
+  Array.iter
+    (fun id ->
+      let nd = Index_graph.node t id in
+      Buffer.add_string buf
+        (Printf.sprintf "%d %d\n" (enc nd.Index_graph.k) (enc nd.Index_graph.req)))
+    order;
   Buffer.contents buf
 
 let of_string s =
@@ -165,44 +152,22 @@ let load path =
 
 let container_sections = Container.graph_n_sections + 6
 
-(* Dense first-touch remap over data nodes, shared with [to_string]. *)
-let dense_classes t =
-  let data = Index_graph.data t in
-  let n = Data_graph.n_nodes data in
-  let dense = Hashtbl.create 256 in
-  let order = ref [] and count = ref 0 in
-  let cls = Int_vec.create n in
-  for u = 0 to n - 1 do
-    let id = Index_graph.cls t u in
-    let c =
-      match Hashtbl.find_opt dense id with
-      | Some c -> c
-      | None ->
-        let c = !count in
-        incr count;
-        Hashtbl.add dense id c;
-        order := id :: !order;
-        c
-    in
-    Int_vec.set cls u c
-  done;
-  (cls, Array.of_list (List.rev !order), dense)
-
 let save_container path t =
   let data = Index_graph.data t in
-  let cls, order, dense = dense_classes t in
+  let cls, order = Index_graph.dense_classes t in
   let nc = Array.length order in
-  let enc k = if k >= Index_graph.k_infinite then -1 else k in
   let ks = Int_vec.init nc (fun c -> enc (Index_graph.node t order.(c)).Index_graph.k) in
   let rqs =
     Int_vec.init nc (fun c -> enc (Index_graph.node t order.(c)).Index_graph.req)
   in
-  (* Index child CSR in dense-class space; runs re-sorted because the
+  (* Index child CSR in dense-class space (an index node's dense class
+     is the class of any extent member); runs re-sorted because the
      dense remap does not preserve id order. *)
+  let dense id = cls.(Index_graph.extent_min (Index_graph.node t id)) in
   let kids =
     Array.map
       (fun id ->
-        let l = List.sort Int.compare (List.map (Hashtbl.find dense) (Index_graph.children_list t id)) in
+        let l = List.sort Int.compare (List.map dense (Index_graph.children_list t id)) in
         Array.of_list l)
       order
   in
@@ -215,7 +180,7 @@ let save_container path t =
   let w = Container.Writer.create path ~kind:Container.Index ~n_sections:container_sections in
   (try
      Container.write_graph_sections w data;
-     Container.Writer.int_section w "cls" cls;
+     Container.Writer.int_section w "cls" (Int_vec.of_array cls);
      Container.Writer.int_section w "clsk" ks;
      Container.Writer.int_section w "clsrq" rqs;
      Container.Writer.int_section w "ioff" ioff;

@@ -341,7 +341,7 @@ let default_rconfig ~host ~port ~replica_id =
   }
 
 type event =
-  | Ev_snapshot of { index : string; epoch : int; seq : int }
+  | Ev_snapshot of { index : Dkindex_core.Index_graph.t option; epoch : int; seq : int }
   | Ev_mutations of { muts : Wal.mutation list; epoch : int; seq : int; base : int; offset : int }
   | Ev_promote
 
@@ -528,6 +528,9 @@ let session r push fd =
       reset_at seq 0;
       Atomic.set r.recv_seq seq;
       Atomic.set r.recv_off 0;
+      (* Decoded here, off the mutator, which keeps applying queued
+         work meanwhile. *)
+      let index = try Some (Dkindex_core.Index_serial.of_string index) with _ -> None in
       push (Ev_snapshot { index; epoch; seq })
     | Wire.Rep_records { epoch; seq; offset; data } ->
       if epoch > Atomic.get r.rmax_seen then Atomic.set r.rmax_seen epoch;

@@ -81,9 +81,10 @@ val default_rconfig : host:string -> port:int -> replica_id:int -> rconfig
 
 (** Events handed to the server's mutator domain, in stream order. *)
 type event =
-  | Ev_snapshot of { index : string; epoch : int; seq : int }
-      (** install this {!Index_serial} document; the stream continues
-          from [(seq, 0)] *)
+  | Ev_snapshot of { index : Dkindex_core.Index_graph.t option; epoch : int; seq : int }
+      (** install this index, decoded from the {!Index_serial} document
+          by the tailer ([None] if it did not parse); the stream
+          continues from [(seq, 0)] *)
   | Ev_mutations of { muts : Wal.mutation list; epoch : int; seq : int; base : int; offset : int }
       (** complete WAL records decoded from bytes [[base, offset)] of
           generation [seq]; after a reconnect the same bytes can be

@@ -162,16 +162,7 @@ type pending = { conn : conn; id : int; req : Wire.request; arrival : float }
 type wjob =
   | Wreq of pending
   | Wrepl of Replication.event
-  | Wdigest of (Integrity.digests * (int * int)) option Atomic.t
-      (* digest of the published state, stamped with the write-stream
-         position it reflects *)
-  | Wcheckpoint of int Atomic.t  (* 0 pending / 1 ok / 2 failed *)
-  | Wrepair of {
-      sections : (int * (int * int) array) list;
-          (* primary's data edges per divergent range *)
-      status : int Atomic.t;  (* 0 pending / 1 done *)
-      repaired : int Atomic.t;  (* ranges whose rows actually changed *)
-    }
+  | Wjob of (unit -> unit)  (* integrity work, see [on_mutator] *)
 
 (* The serving snapshot: a frozen index plus its swap generation.
    Readers load it through one [Atomic.t]; the mutator maintains two
@@ -185,15 +176,14 @@ type snap = { idx : Index_graph.t; gen : int }
 
 type state = {
   cfg : config;
-  lock : Rw_lock.t;
-      (* mutator/shutdown coordination only — never touched by the
-         per-request read path *)
   serving : snap Atomic.t;
   slots : int Atomic.t array;
       (* one per reader domain (slot 0 = the event-loop domain's
          inline reader): -1 when idle, else the generation being
          read *)
-  mutable spare : Index_graph.t;  (* mutator-owned back copy *)
+  mutable spare : Index_graph.t;
+      (* back copy, owned by the mutator domain alone (and by the main
+         domain once the mutator is joined), so it takes no lock *)
   mutable lag : Wal.mutation list;
       (* mutations in serving but not yet in spare, newest first *)
   mutable spare_dirty : bool;
@@ -301,8 +291,7 @@ let wait_readers state gen =
       done)
     state.slots
 
-let clone_of_serving state =
-  Index_serial.of_string (Index_serial.to_string (Atomic.get state.serving).idx)
+let clone_of_serving state = Index_graph.copy (Atomic.get state.serving).idx
 
 (* Bring the spare copy up to date with the serving content.  Called
    by the mutator before touching the spare; the grace wait happens
@@ -330,15 +319,19 @@ let catch_up state =
   end
 
 (* Publish [idx'] (the mutated spare) as the new serving snapshot and
-   retire the old one into the spare slot, remembering [muts] for
-   catch-up. *)
-let swap_in state idx' muts =
+   retire the old one into the spare slot, remembering [muts] (newest
+   first) for catch-up; then commit the integrity marks the mutation
+   left.  Wholesale mutations can return a brand-new index object with
+   no tracer installed; attaching is idempotent. *)
+let publish state idx' muts =
+  Integrity.attach state.integrity idx';
   Index_graph.prepare_serving idx';
   let old = Atomic.get state.serving in
   Atomic.set state.serving { idx = idx'; gen = old.gen + 1 };
   Atomic.incr state.swaps;
   state.spare <- old.idx;
-  state.lag <- muts
+  state.lag <- muts;
+  Integrity.commit state.integrity
 
 (* Install a wholesale replacement (replica snapshot bootstrap): both
    copies are fresh, nothing retired is ever mutated, so no grace wait
@@ -746,35 +739,29 @@ let apply_write state (p : pending) : Wire.response =
               raise e
           in
           Integrity.note_mutation state.integrity m;
-          (* Wholesale mutations can return a brand-new index object
-             with no tracer installed; attaching is idempotent. *)
-          Integrity.attach state.integrity idx';
           (* Log after applying, before acknowledging: the WAL holds
              only mutations that succeeded, and nothing is acknowledged
              until it is logged.  A WAL failure degrades the server to
              read-only — the published application stands (it can be at
              most this one unacknowledged mutation ahead of the durable
              state) and no further writes are accepted. *)
-          match durability with
-          | None ->
-            swap_in state idx' [ m ];
-            Integrity.commit state.integrity;
-            ok ()
-          | Some d -> (
-            match Checkpoint.log_mutation d m with
-            | () ->
-              swap_in state idx' [ m ];
-              Integrity.commit state.integrity;
-              Atomic.set state.digest_pos (Checkpoint.wal_position d);
-              ok ()
-            | exception e ->
-              Checkpoint.note_wal_failure d (Printexc.to_string e);
-              swap_in state idx' [ m ];
-              Integrity.commit state.integrity;
-              (* Applied but not logged: the published state is ahead
-                 of any WAL position. *)
-              Atomic.set state.digest_pos (-1, 0);
-              Wire.Read_only)))
+          let logged =
+            match durability with
+            | None -> true
+            | Some d -> (
+              match Checkpoint.log_mutation d m with
+              | () ->
+                Atomic.set state.digest_pos (Checkpoint.wal_position d);
+                true
+              | exception e ->
+                Checkpoint.note_wal_failure d (Printexc.to_string e);
+                (* Applied but not logged: the published state is ahead
+                   of any WAL position. *)
+                Atomic.set state.digest_pos (-1, 0);
+                false)
+          in
+          publish state idx' [ m ];
+          if logged then ok () else Wire.Read_only))
     | None -> (
       match p.req with
       | Wire.Snapshot -> (
@@ -845,10 +832,11 @@ let apply_repl state scratch (ev : Replication.event) =
   | Replication.Ev_snapshot { index; epoch; seq } -> (
     match state.replica with
     | Some r when not (Replication.is_promoted r) -> (
-      (* Two independent decodes: the snapshot becomes both physical
-         copies of the left-right pair. *)
-      match (Index_serial.of_string index, Index_serial.of_string index) with
-      | idx', spare' ->
+      match index with
+      | Some idx' ->
+        (* The decoded snapshot and a copy of it become the two
+           physical copies of the left-right pair. *)
+        let spare' = Index_graph.copy idx' in
         Integrity.invalidate state.integrity;
         Integrity.attach state.integrity idx';
         Integrity.attach state.integrity spare';
@@ -860,7 +848,7 @@ let apply_repl state scratch (ev : Replication.event) =
           match Checkpoint.checkpoint_now d (serving_idx state) with Ok () | Error _ -> ())
         | None -> ());
         Replication.note_installed r ~epoch ~seq
-      | exception _ ->
+      | None ->
         (* A snapshot that does not parse leaves us behind; the next
            reconnect bootstraps again. *)
         Atomic.incr state.repl_apply_errors)
@@ -909,11 +897,7 @@ let apply_repl state scratch (ev : Replication.event) =
           muts;
         (* [lag] is newest-first, which is exactly what [applied]
            accumulated to. *)
-        if !n_applied > 0 then begin
-          Integrity.attach state.integrity state.spare;
-          swap_in state state.spare !applied;
-          Integrity.commit state.integrity
-        end;
+        if !n_applied > 0 then publish state state.spare !applied;
         (* The position is stamped in the primary's WAL coordinates —
            the same clock the primary stamps its own digests with. *)
         Atomic.set state.digest_pos (seq, offset);
@@ -932,14 +916,14 @@ let apply_repl state scratch (ev : Replication.event) =
    immediate checkpoint: repairs bypass the WAL (they are corrections,
    not stream records), so only a fresh checkpoint prevents a restart
    from resurrecting the divergence. *)
-let apply_repair state sections repaired =
+let apply_repair state sections =
   catch_up state;
-  let applied = ref [] in
+  let applied = ref [] and repaired = ref 0 in
   List.iter
     (fun (range, theirs) ->
       let muts = Integrity.section_diff (Index_graph.data state.spare) ~range ~theirs in
       if muts <> [] then begin
-        Atomic.incr repaired;
+        incr repaired;
         List.iter
           (fun m ->
             match Checkpoint.apply_mutation state.spare m with
@@ -952,10 +936,8 @@ let apply_repair state sections repaired =
       end)
     sections;
   if !applied <> [] then begin
-    ignore (Atomic.fetch_and_add state.ranges_repaired (Atomic.get repaired));
-    Integrity.attach state.integrity state.spare;
-    swap_in state state.spare !applied;
-    Integrity.commit state.integrity;
+    ignore (Atomic.fetch_and_add state.ranges_repaired !repaired);
+    publish state state.spare !applied;
     match state.durability with
     | Some d -> (
       match Checkpoint.checkpoint_now d (serving_idx state) with Ok () | Error _ -> ())
@@ -968,34 +950,14 @@ let mutator_loop state () =
     match Bqueue.pop state.writeq with
     | None -> ()
     | Some (Wrepl ev) ->
-      Rw_lock.write state.lock (fun () -> apply_repl state scratch ev);
+      apply_repl state scratch ev;
       go ()
-    | Some (Wdigest box) ->
-      Rw_lock.write state.lock (fun () ->
-          let d = Integrity.refresh state.integrity (serving_idx state) in
-          Atomic.set box (Some (d, Atomic.get state.digest_pos)));
-      go ()
-    | Some (Wcheckpoint flag) ->
-      Rw_lock.write state.lock (fun () ->
-          match state.durability with
-          | Some d -> (
-            match Checkpoint.checkpoint_now d (serving_idx state) with
-            | Ok () -> Atomic.set flag 1
-            | Error _ -> Atomic.set flag 2)
-          | None -> Atomic.set flag 2);
-      go ()
-    | Some (Wrepair { sections; status; repaired }) ->
-      Rw_lock.write state.lock (fun () ->
-          try apply_repair state sections repaired
-          with _ -> Atomic.incr state.repl_apply_errors);
-      Atomic.set status 1;
+    | Some (Wjob f) ->
+      f ();
       go ()
     | Some (Wreq p) ->
       (if not p.conn.closed then
-         let resp =
-           if expired state p then deadline_reply state
-           else Rw_lock.write state.lock (fun () -> apply_write state p)
-         in
+         let resp = if expired state p then deadline_reply state else apply_write state p in
          send_response p.conn ~id:p.id resp;
          Atomic.incr state.served);
       Atomic.decr state.in_flight;
@@ -1007,21 +969,29 @@ let mutator_loop state () =
 (* ------------------------------------------------------------------ *)
 (* The integrity domain: background scrubbing of at-rest state and, on
    replicas, anti-entropy digest comparison against the primary.  All
-   index access goes through mutator jobs (Wdigest / Wcheckpoint /
-   Wrepair); this domain only does file I/O, networking, and
-   bookkeeping, so it needs no reader slot. *)
+   index access goes through mutator jobs ([on_mutator]); this domain
+   only does file I/O, networking, and bookkeeping, so it needs no
+   reader slot. *)
 
-let wait_flag state flag =
-  let rec go () =
-    let v = Atomic.get flag in
-    if v <> 0 then v
-    else if Atomic.get state.stop then 0
-    else begin
-      Unix.sleepf 0.005;
-      go ()
-    end
+(* Run [f] on the mutator, behind every write already queued, and wait
+   for its result.  [None] if [f] raised, or if the server began
+   stopping before [f] finished (the wait gives up; the drain may
+   still run the job). *)
+let on_mutator state f =
+  let box = Atomic.make None in
+  let job () = Atomic.set box (Some (try Some (f ()) with _ -> None)) in
+  Bqueue.push state.writeq (Wjob job);
+  let rec wait () =
+    match Atomic.get box with
+    | Some r -> r
+    | None ->
+      if Atomic.get state.stop then None
+      else begin
+        Unix.sleepf 0.005;
+        wait ()
+      end
   in
-  go ()
+  wait ()
 
 let scrub_pass state d =
   let dir = Checkpoint.dir d in
@@ -1034,26 +1004,10 @@ let scrub_pass state d =
        live (known-good) index first, and only quarantine once a fresh
        generation is durable.  On checkpoint failure the evidence
        stays in place and the next pass retries. *)
-    let flag = Atomic.make 0 in
-    Bqueue.push state.writeq (Wcheckpoint flag);
-    if wait_flag state flag = 1 then
+    let checkpointed () = Checkpoint.checkpoint_now d (serving_idx state) = Ok () in
+    if on_mutator state checkpointed = Some true then
       ignore (Scrub.quarantine ~dir (List.map (fun c -> c.Scrub.file) report.Scrub.corrupt))
   end
-
-let mutator_digest state =
-  let box = Atomic.make None in
-  Bqueue.push state.writeq (Wdigest box);
-  let rec wait () =
-    match Atomic.get box with
-    | Some v -> Some v
-    | None ->
-      if Atomic.get state.stop then None
-      else begin
-        Unix.sleepf 0.005;
-        wait ()
-      end
-  in
-  wait ()
 
 let anti_entropy_round state r suspicion =
   let rc = Replication.rconfig_of r in
@@ -1069,7 +1023,12 @@ let anti_entropy_round state r suspicion =
     | Wire.Digest_reply
         { generation = _; seq = pseq; offset = poff; n_nodes; root; label_edges; data_ranges; index_ranges }
       -> (
-      match mutator_digest state with
+      (* The digest of the published state, stamped with the
+         write-stream position it reflects. *)
+      let digest () =
+        (Integrity.refresh state.integrity (serving_idx state), Atomic.get state.digest_pos)
+      in
+      match on_mutator state digest with
       | None -> ()
       | Some (mine, (seq, off)) ->
         if pseq < 0 || seq < 0 || pseq <> seq || poff <> off then
@@ -1106,9 +1065,10 @@ let anti_entropy_round state r suspicion =
               let dranges = List.filteri (fun i _ -> i < 16) dranges in
               (match Client.call c (Wire.Repair_fetch { ranges = dranges }) with
               | Wire.Repair_reply { sections; _ } ->
-                let status = Atomic.make 0 and repaired = Atomic.make 0 in
-                Bqueue.push state.writeq (Wrepair { sections; status; repaired });
-                ignore (wait_flag state status)
+                let repair () =
+                  try apply_repair state sections with _ -> Atomic.incr state.repl_apply_errors
+                in
+                ignore (on_mutator state repair)
               | _ -> ())
           end
         end)
@@ -1237,9 +1197,8 @@ let dispatch state ~slot ~reader conn ~id (req : Wire.request) =
 let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?replica_of
     ?hub_faults ?hub_heartbeat_s ?(repl_drop_nth = 0) cfg index =
   Index_graph.prepare_serving index;
-  (* The second physical copy of the left-right pair, via the
-     serialization round-trip (bit-for-bit equivalent content). *)
-  let spare = Index_serial.of_string (Index_serial.to_string index) in
+  (* The second physical copy of the left-right pair. *)
+  let spare = Index_graph.copy index in
   let epoch0 =
     match durability with
     | Some d -> Replication.load_epoch ~dir:(Checkpoint.dir d)
@@ -1253,7 +1212,6 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
   let state =
     {
       cfg;
-      lock = Rw_lock.create ();
       serving = Atomic.make { idx = index; gen = 0 };
       slots = Array.init (n_workers + 1) (fun _ -> Atomic.make (-1));
       spare;
@@ -1598,10 +1556,8 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
       Mutex.unlock c.wmu;
       try Unix.close c.fd with Unix.Unix_error _ -> ())
     conns;
-  (* The mutator has been joined; take the write side anyway so the
-     final checkpoint can never interleave with a straggling
-     mutation path. *)
-  Rw_lock.write state.lock @@ fun () ->
+  (* The mutator has been joined: the final checkpoint cannot
+     interleave with a mutation. *)
   let final_durability =
     match state.durability with
     | None -> Ok ()

@@ -10,7 +10,9 @@
       against an immutable {e serving snapshot} of the index, with a
       per-domain {!Dkindex_core.Validation_cache};
     - one {e mutator} domain drains the write queue in FIFO order and
-      applies each update to a private spare copy of the index, then
+      applies each update to a spare copy of the index that it alone
+      owns (so it takes no lock; built by
+      {!Dkindex_core.Index_graph.copy}), then
       publishes it ({!Dkindex_core.Index_graph.prepare_serving} first,
       one atomic store after) and replays the delta onto the retired
       copy once in-flight readers have drained (left-right scheme).

@@ -278,6 +278,34 @@ let equivalence_tests =
         run_case "xmark" (Dkindex_datagen.Xmark.graph ~seed:63 ~scale:12 ()));
     test "nasa: mapped index answers = in-RAM through churn" (fun () ->
         run_case "nasa" (Dkindex_datagen.Nasa.graph ~seed:64 ~scale:10 ()));
+    test "copy of a container-loaded index equals it" (fun () ->
+        with_tmp_dir (fun dir ->
+            let path = Filename.concat dir "i.dkc" in
+            let g = Dkindex_datagen.Xmark.graph ~seed:65 ~scale:12 () in
+            let queries = Query_gen.generate ~seed:66 ~count:30 g in
+            Index_serial.save_container path
+              (Dk_index.build g ~reqs:(Dkindex_workload.Miner.mine g queries));
+            let mapped = Index_serial.load_container path in
+            let text = Index_serial.to_string mapped in
+            let heap = Index_graph.copy mapped in
+            Index_graph.check_invariants heap;
+            check_string "text form" text (Index_serial.to_string heap);
+            List.iter
+              (fun q ->
+                check_int_list "answers"
+                  (Query_eval.eval_path mapped q).Query_eval.nodes
+                  (Query_eval.eval_path heap q).Query_eval.nodes)
+              queries;
+            (* The copy owns heap arrays: churning it leaves the mapped
+               index as loaded. *)
+            let n = Data_graph.n_nodes g in
+            let rng = Prng.create ~seed:67 in
+            for _ = 1 to 20 do
+              let u = Prng.int rng n and v = 1 + Prng.int rng (n - 1) in
+              if not (Data_graph.has_edge (Index_graph.data heap) u v) then
+                Dk_update.add_edge heap u v
+            done;
+            check_string "mapped index unchanged" text (Index_serial.to_string mapped)));
   ]
 
 (* --------------------------------------------------------------- *)

@@ -187,36 +187,36 @@ let view_tests =
           (List.mem b_cls (Index_graph.parents_list idx r)));
   ]
 
-let compact_tests =
+let copy_tests =
   [
-    test "compact preserves the partition, k, req and edges" (fun () ->
+    test "copy preserves the partition, k, req and edges" (fun () ->
         let g = random_graph ~seed:341 ~nodes:100 in
         let idx = Label_split.build g in
         (* churn: promote a few nodes to create dead slots *)
         ignore (Dk_tune.promote idx (Index_graph.cls idx 5) ~k:2);
         ignore (Dk_tune.promote idx (Index_graph.cls idx 9) ~k:1);
-        let compacted = Index_graph.compact idx in
-        Index_graph.check_invariants compacted;
+        let copied = Index_graph.copy idx in
+        Index_graph.check_invariants copied;
         check_bool "same signature" true
-          (Index_graph.partition_signature idx = Index_graph.partition_signature compacted);
-        check_int "same size" (Index_graph.n_nodes idx) (Index_graph.n_nodes compacted);
-        check_int "same edges" (Index_graph.n_edges idx) (Index_graph.n_edges compacted);
+          (Index_graph.partition_signature idx = Index_graph.partition_signature copied);
+        check_int "same size" (Index_graph.n_nodes idx) (Index_graph.n_nodes copied);
+        check_int "same edges" (Index_graph.n_edges idx) (Index_graph.n_edges copied);
         (* dense ids: every id below n_nodes is alive *)
-        for id = 0 to Index_graph.n_nodes compacted - 1 do
-          check_bool "dense" true (Index_graph.is_alive compacted id)
+        for id = 0 to Index_graph.n_nodes copied - 1 do
+          check_bool "dense" true (Index_graph.is_alive copied id)
         done);
-    test "compact result answers queries identically" (fun () ->
+    test "copy result answers queries identically" (fun () ->
         let g = random_graph ~seed:342 ~nodes:120 in
         let queries = Dkindex_workload.Query_gen.generate ~seed:342 ~count:15 g in
         let reqs = Dkindex_workload.Miner.mine g queries in
         let idx = Dk_index.build g ~reqs in
         Dk_tune.promote_to_requirements idx;
-        let compacted = Index_graph.compact idx in
+        let copied = Index_graph.copy idx in
         List.iter
           (fun q ->
             check_int_list "same"
               (Query_eval.eval_path idx q).Query_eval.nodes
-              (Query_eval.eval_path compacted q).Query_eval.nodes)
+              (Query_eval.eval_path copied q).Query_eval.nodes)
           queries);
   ]
 
@@ -261,5 +261,5 @@ let () =
       ("split", split_tests);
       ("views", view_tests);
       ("stats", stats_tests);
-      ("compact", compact_tests);
+      ("copy", copy_tests);
     ]

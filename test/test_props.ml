@@ -482,6 +482,145 @@ let prop_index_serial_roundtrip =
       let idx' = Index_serial.of_string (Index_serial.to_string idx) in
       Index_graph.partition_signature idx = Index_graph.partition_signature idx')
 
+(* --------------------------------------------------------------- *)
+(* Index_graph.copy = the Index_serial text round trip                *)
+
+(* One step of index churn.  Ops name data nodes, never index ids, so
+   the same op applies to every copy kept in lockstep. *)
+type churn_op =
+  | Add of int * int
+  | Remove of int * int  (* only edges this run added *)
+  | Promote of int * int  (* data node whose class is promoted, k *)
+  | Promote_labels of (string * int) list
+  | Demote of (string * int) list
+  | Subgraph of int  (* seed of a grafted random document *)
+
+let draw_op rng g added =
+  let n = Data_graph.n_nodes g in
+  let label () = Data_graph.label_name g (Prng.int rng n) in
+  match (Prng.int rng 10, added) with
+  | (0 | 1 | 2), _ | (3 | 4), [] ->
+    let u = Prng.int rng n and v = 1 + Prng.int rng (n - 1) in
+    if u <> v && not (Data_graph.has_edge g u v) then Some (Add (u, v)) else None
+  | (3 | 4), (u, v) :: _ -> Some (Remove (u, v))
+  | 5, _ -> Some (Promote (Prng.int rng n, Prng.int rng 4))
+  | 6, _ -> Some (Promote_labels [ (label (), 1 + Prng.int rng 3) ])
+  | 7, _ -> Some (Demote [ (label (), Prng.int rng 2) ])
+  | _ -> Some (Subgraph (Prng.int rng 10_000))
+
+let apply_op idx = function
+  | Add (u, v) ->
+    Dk_update.add_edge idx u v;
+    idx
+  | Remove (u, v) ->
+    Dk_update.remove_edge idx u v;
+    idx
+  | Promote (u, k) ->
+    ignore (Dk_tune.promote idx (Index_graph.cls idx u) ~k);
+    idx
+  | Promote_labels pairs ->
+    Dk_tune.promote_labels idx pairs;
+    idx
+  | Demote reqs -> Dk_tune.demote idx ~reqs
+  | Subgraph seed ->
+    (* Five labels: the graft interns l4, new to the random sources. *)
+    let h = Dkindex_datagen.Random_graph.graph ~seed ~nodes:8 ~n_labels:5 ~extra_edges:3 () in
+    snd (Dk_update.add_subgraph idx h ~reqs:[ ("l4", 2) ])
+
+(* Runs [steps] random ops against [idx] (each drawn from its current
+   data graph), calling [each] with the op and the index after it. *)
+let churn ?(each = fun _ _ -> ()) ~seed ~steps idx =
+  let rng = Prng.create ~seed in
+  let added = ref [] in
+  let idx = ref idx in
+  for _ = 1 to steps do
+    match draw_op rng (Index_graph.data !idx) !added with
+    | None -> ()
+    | Some op ->
+      (match op with
+      | Add (u, v) -> added := (u, v) :: !added
+      | Remove _ -> added := List.tl !added
+      | _ -> ());
+      idx := apply_op !idx op;
+      each op !idx
+  done;
+  !idx
+
+(* Random graphs plus the paper's two document shapes.  The datagen
+   graphs are built once; every case churns its own copy. *)
+let xmark40 = lazy (Dkindex_datagen.Xmark.graph ~seed:40 ~scale:40 ())
+let nasa20 = lazy (Dkindex_datagen.Nasa.graph ~seed:20 ~scale:20 ())
+
+let copy_sources seed =
+  [
+    ( "random",
+      Dkindex_datagen.Random_graph.graph ~seed ~nodes:(5 + (seed mod 80)) ~n_labels:4
+        ~extra_edges:(seed mod 30) () );
+    ("xmark s40", Data_graph.copy (Lazy.force xmark40));
+    ("nasa s20", Data_graph.copy (Lazy.force nasa20));
+  ]
+
+let mined_index ~seed g =
+  let queries = Dkindex_workload.Query_gen.generate ~seed ~count:8 g in
+  Dk_index.build g ~reqs:(Dkindex_workload.Miner.mine g queries)
+
+let copy_seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 10_000)
+
+let prop_copy_text_equal =
+  QCheck.Test.make ~count:8 ~name:"copy: to_string (copy x) = to_string x through churn" copy_seed
+    (fun seed ->
+      List.for_all
+        (fun (name, g) ->
+          let check idx =
+            let c = Index_graph.copy idx in
+            Index_graph.check_invariants c;
+            if not (String.equal (Index_serial.to_string c) (Index_serial.to_string idx)) then
+              QCheck.Test.fail_reportf "%s: copy text differs" name
+          in
+          let x = mined_index ~seed g in
+          check x;
+          ignore (churn ~seed ~steps:12 x ~each:(fun _ idx -> check idx));
+          true)
+        (copy_sources seed))
+
+let prop_copy_independent =
+  QCheck.Test.make ~count:8 ~name:"copy: churning the copy leaves the original's text alone"
+    copy_seed
+    (fun seed ->
+      List.for_all
+        (fun (name, g) ->
+          (* Churn first so the original carries overflow edges,
+             tombstones and retired slots into the copy. *)
+          let x = churn ~seed ~steps:8 (mined_index ~seed g) in
+          let before = Index_serial.to_string x in
+          let pool idx = Data_graph.pool (Index_graph.data idx) in
+          let labels = Label.Pool.count (pool x) in
+          let c = Index_graph.copy x in
+          ignore (Label.Pool.intern (pool c) "copy-only");
+          ignore (churn ~seed:(seed + 1) ~steps:12 c);
+          (String.equal before (Index_serial.to_string x)
+          || QCheck.Test.fail_reportf "%s: original changed under the copy's churn" name)
+          && (Label.Pool.count (pool x) = labels
+             || QCheck.Test.fail_reportf "%s: the copy shares the label pool" name))
+        (copy_sources seed))
+
+let prop_copy_lockstep =
+  QCheck.Test.make ~count:8 ~name:"copy: lockstep churn matches the text round trip" copy_seed
+    (fun seed ->
+      List.for_all
+        (fun (name, g) ->
+          let x = churn ~seed ~steps:8 (mined_index ~seed g) in
+          let other = ref (Index_serial.of_string (Index_serial.to_string x)) in
+          let step = ref 0 in
+          ignore
+            (churn ~seed:(seed + 1) ~steps:12 (Index_graph.copy x) ~each:(fun op idx ->
+                 incr step;
+                 other := apply_op !other op;
+                 if not (String.equal (Index_serial.to_string idx) (Index_serial.to_string !other))
+                 then QCheck.Test.fail_reportf "%s: texts diverge at step %d" name !step));
+          true)
+        (copy_sources seed))
+
 let prop_sax_equals_dom =
   QCheck.Test.make ~count:40 ~name:"streaming load = DOM load on random documents"
     (QCheck.make QCheck.Gen.(int_bound 100_000))
@@ -665,6 +804,8 @@ let () =
       ( "updates",
         List.map to_alcotest
           [ prop_update_soup; prop_updates_keep_extents_honest; prop_subgraph_addition ] );
+      ( "copy",
+        List.map to_alcotest [ prop_copy_text_equal; prop_copy_independent; prop_copy_lockstep ] );
       ( "fuzz",
         List.map to_alcotest
           [

@@ -920,6 +920,104 @@ let test_pipelined_ordering () =
     Client.close c;
     Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0)
 
+(* A write that fails inside [Checkpoint.apply_mutation] leaves the
+   spare copy suspect; the next write rebuilds it from the serving copy
+   ([Index_graph.copy]) before applying.  Removing an absent edge
+   between valid nodes is such a write.  Every later acknowledged write
+   must leave reads equal to the in-process oracle, whichever physical
+   copy serves them. *)
+let test_spare_rebuild () =
+  let g, idx = build_smoke_dataset () in
+  let r, w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close r;
+    let status =
+      try
+        match
+          Server.run
+            ~on_ready:(fun port ->
+              let line = string_of_int port ^ "\n" in
+              ignore (Unix.write_substring w line 0 (String.length line));
+              Unix.close w)
+            { Server.default_config with port = 0; workers = 1; deadline_s = 0.0 }
+            idx
+        with
+        | Ok () -> 0
+        | Error _ -> 1
+      with _ -> 1
+    in
+    Unix._exit status
+  | pid ->
+    (* A failed check must not leave the server child running. *)
+    let reaped = ref false in
+    Fun.protect ~finally:(fun () ->
+        if not !reaped then (
+          try
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid)
+          with Unix.Unix_error _ -> ()))
+    @@ fun () ->
+    Unix.close w;
+    let port = read_port_line r in
+    Unix.close r;
+    let c = Client.connect ~port () in
+    let n = Data_graph.n_nodes g in
+    let rng = Prng.create ~seed:23 in
+    let rec absent () =
+      let u = Prng.int rng n and v = 1 + Prng.int rng (n - 1) in
+      if u <> v && not (Data_graph.has_edge g u v) then (u, v) else absent ()
+    in
+    let has_edge u v =
+      match Client.call c (Wire.Has_edge { u; v }) with
+      | Wire.Edge_reply { present; _ } -> present
+      | _ -> Alcotest.fail "expected Edge_reply"
+    in
+    let check_reads what (u, v) =
+      Index_graph.prepare_serving idx;
+      List.iter (check_against_local idx c) smoke_queries;
+      Alcotest.(check bool) (what ^ ": has_edge") (Data_graph.has_edge g u v) (has_edge u v)
+    in
+    let fail_write () =
+      let u, v = absent () in
+      (match Client.call c (Wire.Remove_edge { u; v }) with
+      | Wire.Error_reply { code = `App; _ } -> ()
+      | _ -> Alcotest.fail "removing an absent edge must fail");
+      check_reads "after the failed write" (u, v)
+    in
+    let write req apply (u, v) =
+      (match Client.call c req with
+      | Wire.Ok_reply _ -> ()
+      | _ -> Alcotest.fail "expected Ok_reply");
+      apply idx u v;
+      check_reads (Printf.sprintf "after write (%d, %d)" u v) (u, v)
+    in
+    let added = ref [] in
+    let add () =
+      let u, v = absent () in
+      write (Wire.Add_edge { u; v }) Dk_update.add_edge (u, v);
+      added := (u, v) :: !added
+    in
+    let remove () =
+      match !added with
+      | [] -> ()
+      | (u, v) :: rest ->
+        added := rest;
+        write (Wire.Remove_edge { u; v }) Dk_update.remove_edge (u, v)
+    in
+    (* A failure on a clean pair, then one with a lag pending. *)
+    fail_write ();
+    List.iter (fun f -> f ()) [ add; add; remove; add ];
+    fail_write ();
+    List.iter (fun f -> f ()) [ add; remove; add; remove; remove; add ];
+    (match Client.call c Wire.Shutdown with
+    | Wire.Ok_reply _ -> ()
+    | _ -> Alcotest.fail "expected Ok_reply for Shutdown");
+    let _, status = Unix.waitpid [] pid in
+    reaped := true;
+    Client.close c;
+    Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0)
+
 (* Snapshot churn: reader domains hammer queries while the main
    thread streams edge updates through the write path.  Every answer
    — nodes and validation costs — must equal the oracle state after
@@ -1045,37 +1143,6 @@ let test_snapshot_churn () =
     Client.close cw;
     Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0)
 
-(* --------------------------------------------------------------- *)
-(* Rw_lock: a continuous read load cannot starve a writer            *)
-
-module Rw_lock = Dkindex_server.Rw_lock
-
-let test_rw_lock_writer_not_starved () =
-  let l = Rw_lock.create () in
-  let grants = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let readers =
-    Array.init 2 (fun _ ->
-        Domain.spawn (fun () ->
-            while not (Atomic.get stop) do
-              Rw_lock.read l (fun () -> Atomic.incr grants)
-            done))
-  in
-  (* Let the read load reach a steady state before the writer asks. *)
-  while Atomic.get grants < 200 do
-    Unix.sleepf 0.001
-  done;
-  let before = Atomic.get grants in
-  (* Reads granted between the writer's request and its acquisition:
-     with writer priority this is bounded by the readers already in
-     flight (plus a few preemption windows), never thousands. *)
-  let during = Rw_lock.write l (fun () -> Atomic.get grants - before) in
-  Atomic.set stop true;
-  Array.iter Domain.join readers;
-  if during > 100 then
-    Alcotest.fail
-      (Printf.sprintf "writer waited through %d read grants: readers starve writers" during)
-
 let () =
   Alcotest.run "server"
     [
@@ -1109,6 +1176,8 @@ let () =
             test_deadline_expiry;
           Alcotest.test_case "pipelined requests: FIFO inline, id-matched overtaking" `Quick
             test_pipelined_ordering;
+          Alcotest.test_case "a failed write rebuilds the spare; reads stay exact" `Quick
+            test_spare_rebuild;
           (* Last forking test: it spawns reader domains in the
              parent, after which Unix.fork is no longer available. *)
           Alcotest.test_case "no torn reads under snapshot churn" `Quick test_snapshot_churn;
@@ -1118,10 +1187,5 @@ let () =
           to_alcotest prop_bqueue_no_loss_no_dup;
           Alcotest.test_case "try_push sheds at capacity; close drains" `Quick
             test_bqueue_sheds_at_capacity;
-        ] );
-      ( "rw_lock",
-        [
-          Alcotest.test_case "writer acquires under continuous read load" `Quick
-            test_rw_lock_writer_not_starved;
         ] );
     ]

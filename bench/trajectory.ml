@@ -17,7 +17,8 @@
    [--smoke] runs a tiny scale (< 30 s) suitable for `dune runtest` /
    `make bench-smoke`, skips the JSON file, and additionally asserts
    the allocation discipline of the Kbisim signature pass and of the
-   zero-copy wire framing (in-place decode, reused reply buffer). *)
+   zero-copy wire framing (in-place decode, reused reply buffer), and
+   that publishing an edge insert leaves the data overflow unfolded. *)
 
 open Dkindex_graph
 open Dkindex_core
@@ -380,6 +381,27 @@ let assert_refine_allocation () =
          "Kbisim.refine allocated %.0f words on a graph with m=%d edges — per-node/per-edge \
           allocation crept back into the signature pass"
          words m)
+
+(* Publish guard (smoke mode): publishing one edge insert must not
+   fold the data graph's overflow layer — that fold costs O(data nodes
+   + edges) on every write.  One fresh Dk_update.add_edge on XMark s40
+   followed by prepare_serving must leave exactly that edge pending. *)
+let assert_publish_keeps_overflow () =
+  let g = Dkindex_datagen.Xmark.graph ~scale:40 () in
+  let idx = Dk_index.build g ~reqs:fixed_reqs in
+  let u, v =
+    List.find (fun (u, v) -> not (Data_graph.has_edge g u v)) (update_edges g ~count:64 ~seed:5)
+  in
+  Dk_update.add_edge idx u v;
+  Index_graph.prepare_serving idx;
+  let pending = Data_graph.overflow_size g in
+  Printf.printf "  publish guard: overflow %d after one add + prepare_serving\n%!" pending;
+  if pending <> 1 then
+    failwith
+      (Printf.sprintf
+         "prepare_serving left a data overflow of %d after one edge insert (want 1): the \
+          per-publish data CSR fold crept back"
+         pending)
 
 (* Zero-copy framing assertions (smoke mode): decoding a frame sitting
    inside a large connection buffer must allocate a small constant —
@@ -1362,6 +1384,7 @@ let () =
   if !smoke then begin
     assert_refine_allocation ();
     assert_framing_allocation ();
+    assert_publish_keeps_overflow ();
     (* Exercise the update path end to end so harness bitrot (not just
        compile rot) fails the smoke run. *)
     let idx = Dk_index.build (Data_graph.copy g) ~reqs in

@@ -25,12 +25,13 @@ type t = {
   parents : adj;
   values : (int, string) Hashtbl.t;  (* node -> atomic payload *)
   mutable n_edges : int;
-  (* Overflow layer: recent additions as per-node lists (unsorted,
-     newest first), recent deletions as (u, v) tombstones against the
-     CSR. *)
+  (* Overflow layer: recent additions as per-node lists (sorted
+     increasing), recent deletions as tombstones against the CSR. *)
   extra_children : int list array;
   extra_parents : int list array;
-  deleted : (int * int, unit) Hashtbl.t;
+  deleted : (int, unit) Hashtbl.t;  (* [edge_key u v] of each tombstone *)
+  mutable del_out : int array;  (* u -> tombstones in u's child run *)
+  mutable del_in : int array;  (* v -> tombstones in v's parent run *)
   mutable n_extra : int;
   mutable n_deleted : int;
   mutable rebuild_at : int;  (* overflow size that triggers a rebuild *)
@@ -109,98 +110,137 @@ let reverse_csr n children =
   { off = deg; arr }
 
 (* ------------------------------------------------------------------ *)
-(* Iteration: CSR run (skipping tombstones when any exist) + overflow *)
+(* Iteration: CSR run (skipping tombstones) merged with the overflow *)
+
+(* Tombstones are keyed by one immediate int, not an (int * int) tuple:
+   membership tests sit on the iteration hot path, and hashing a tuple
+   both allocates and follows pointers.  Node ids stay below 2^31
+   ([check_size]), so the packing cannot collide.  [del_out] /
+   [del_in] count tombstones per endpoint, so iteration over the vast
+   majority of nodes — whose runs carry no tombstone — skips the table
+   entirely even while tombstones are live.  The count arrays are
+   allocated by the first tombstone after a fold ([[||]] before), so a
+   graph that is never edited, mapped or not, pays no O(n) for them. *)
+let edge_key u v = (u lsl 31) lor v
+
+let check_size n =
+  if n > 1 lsl 31 then invalid_arg "Data_graph: more than 2^31 nodes"
+
+(* No tombstone sits in [u]'s child run / [v]'s parent run. *)
+let clean_out g u = g.n_deleted = 0 || g.del_out.(u) = 0
+let clean_in g v = g.n_deleted = 0 || g.del_in.(v) = 0
+
+(* Overflow lists are kept sorted increasing and walked merged with
+   the CSR run, so every walk visits a node's neighbors in increasing
+   order — the order of a folded run — whatever the fold history.
+   Short-circuiting walks ([exists_*]), and through them the validation
+   costs reported with each answer, then depend on the edge set, not on
+   when the overflow was last folded — two copies with the same edges
+   but different fold histories (a recovered server and its in-process
+   oracle, say) report the same costs.  An overflow edge is never also
+   in the CSR run, so the merge meets no ties. *)
+let rec insert_sorted x = function
+  | y :: rest when y < x -> y :: insert_sorted x rest
+  | l -> x :: l
+
+(* [pred] over [u]'s run in [adj] (tombstones skipped unless [clean])
+   merged with its sorted overflow list [extras]; stops at the first
+   hit.  Only nodes with an overflow edge or a tombstone take this
+   path; every other node walks its run as a flat loop. *)
+let merged_exists g adj ~clean ~key u extras pred =
+  let arr = adj.arr and hi = Int_vec.get adj.off (u + 1) in
+  let rec go i extras =
+    if i >= hi then List.exists pred extras
+    else
+      let v = Int_vec.unsafe_get arr i in
+      match extras with
+      | x :: rest when x < v -> pred x || go i rest
+      | _ -> ((clean || not (Hashtbl.mem g.deleted (key u v))) && pred v) || go (i + 1) extras
+  in
+  go (Int_vec.get adj.off u) extras
+
+let parent_key u p = edge_key p u
+let extras_of g extra u = if g.n_extra = 0 then [] else extra.(u)
 
 let iter_children g u f =
-  let off = g.children.off and arr = g.children.arr in
-  if g.n_deleted = 0 then
+  match extras_of g g.extra_children u with
+  | [] when clean_out g u ->
+    let off = g.children.off and arr = g.children.arr in
     for i = Int_vec.get off u to Int_vec.get off (u + 1) - 1 do
       f (Int_vec.unsafe_get arr i)
     done
-  else
-    for i = Int_vec.get off u to Int_vec.get off (u + 1) - 1 do
-      let v = Int_vec.unsafe_get arr i in
-      if not (Hashtbl.mem g.deleted (u, v)) then f v
-    done;
-  if g.n_extra > 0 then List.iter f g.extra_children.(u)
+  | extras ->
+    ignore
+      (merged_exists g g.children ~clean:(clean_out g u) ~key:edge_key u extras (fun v ->
+           f v;
+           false))
 
 let iter_parents g u f =
-  let off = g.parents.off and arr = g.parents.arr in
-  if g.n_deleted = 0 then
+  match extras_of g g.extra_parents u with
+  | [] when clean_in g u ->
+    let off = g.parents.off and arr = g.parents.arr in
     for i = Int_vec.get off u to Int_vec.get off (u + 1) - 1 do
       f (Int_vec.unsafe_get arr i)
     done
-  else
-    for i = Int_vec.get off u to Int_vec.get off (u + 1) - 1 do
-      let v = Int_vec.unsafe_get arr i in
-      if not (Hashtbl.mem g.deleted (v, u)) then f v
-    done;
-  if g.n_extra > 0 then List.iter f g.extra_parents.(u)
+  | extras ->
+    ignore
+      (merged_exists g g.parents ~clean:(clean_in g u) ~key:parent_key u extras (fun v ->
+           f v;
+           false))
 
 let exists_children g u pred =
-  let off = g.children.off and arr = g.children.arr in
-  let i = ref (Int_vec.get off u) and hi = Int_vec.get off (u + 1) in
-  let found = ref false in
-  if g.n_deleted = 0 then
+  match extras_of g g.extra_children u with
+  | [] when clean_out g u ->
+    let off = g.children.off and arr = g.children.arr in
+    let i = ref (Int_vec.get off u) and hi = Int_vec.get off (u + 1) in
+    let found = ref false in
     while (not !found) && !i < hi do
       if pred (Int_vec.unsafe_get arr !i) then found := true;
       incr i
-    done
-  else
-    while (not !found) && !i < hi do
-      let v = Int_vec.unsafe_get arr !i in
-      if (not (Hashtbl.mem g.deleted (u, v))) && pred v then found := true;
-      incr i
     done;
-  !found || (g.n_extra > 0 && List.exists pred g.extra_children.(u))
+    !found
+  | extras -> merged_exists g g.children ~clean:(clean_out g u) ~key:edge_key u extras pred
 
 let exists_parents g u pred =
-  let off = g.parents.off and arr = g.parents.arr in
-  let i = ref (Int_vec.get off u) and hi = Int_vec.get off (u + 1) in
-  let found = ref false in
-  if g.n_deleted = 0 then
+  match extras_of g g.extra_parents u with
+  | [] when clean_in g u ->
+    let off = g.parents.off and arr = g.parents.arr in
+    let i = ref (Int_vec.get off u) and hi = Int_vec.get off (u + 1) in
+    let found = ref false in
     while (not !found) && !i < hi do
       if pred (Int_vec.unsafe_get arr !i) then found := true;
       incr i
-    done
-  else
-    while (not !found) && !i < hi do
-      let v = Int_vec.unsafe_get arr !i in
-      if (not (Hashtbl.mem g.deleted (v, u))) && pred v then found := true;
-      incr i
     done;
-  !found || (g.n_extra > 0 && List.exists pred g.extra_parents.(u))
+    !found
+  | extras -> merged_exists g g.parents ~clean:(clean_in g u) ~key:parent_key u extras pred
 
-let collect_sorted g adj ~extra ~del u =
+let collect_sorted g adj ~extra ~clean ~key u =
   (* Materialize one node's neighbor list, sorted increasing. *)
   let off = adj.off and arr = adj.arr in
   let lo = Int_vec.get off u and hi = Int_vec.get off (u + 1) in
   let base = ref [] in
   for i = hi - 1 downto lo do
     let v = Int_vec.get arr i in
-    if g.n_deleted = 0 || not (Hashtbl.mem g.deleted (del u v)) then
-      base := v :: !base
+    if clean || not (Hashtbl.mem g.deleted (key u v)) then base := v :: !base
   done;
-  match (if g.n_extra = 0 then [] else extra.(u)) with
+  match extras_of g extra u with
   | [] -> !base
-  | extras -> List.merge Int.compare !base (List.sort Int.compare extras)
+  | extras -> List.merge Int.compare !base extras
 
-let children g u = collect_sorted g g.children ~extra:g.extra_children ~del:(fun u v -> (u, v)) u
-let parents g u = collect_sorted g g.parents ~extra:g.extra_parents ~del:(fun u v -> (v, u)) u
+let children g u =
+  collect_sorted g g.children ~extra:g.extra_children ~clean:(clean_out g u) ~key:edge_key u
 
+let parents g u =
+  collect_sorted g g.parents ~extra:g.extra_parents ~clean:(clean_in g u) ~key:parent_key u
+
+(* O(1): the run length minus the tombstones counted on it. *)
 let degree_of g adj ~extra ~del u =
-  let lo = Int_vec.get adj.off u and hi = Int_vec.get adj.off (u + 1) in
-  let d = ref 0 in
-  if g.n_deleted = 0 then d := hi - lo
-  else
-    for i = lo to hi - 1 do
-      if not (Hashtbl.mem g.deleted (del u (Int_vec.get adj.arr i))) then incr d
-    done;
-  if g.n_extra > 0 then d := !d + List.length extra.(u);
-  !d
+  let run = Int_vec.get adj.off (u + 1) - Int_vec.get adj.off u in
+  let live = if g.n_deleted = 0 then run else run - del.(u) in
+  if g.n_extra > 0 then live + List.length extra.(u) else live
 
-let out_degree g u = degree_of g g.children ~extra:g.extra_children ~del:(fun u v -> (u, v)) u
-let in_degree g u = degree_of g g.parents ~extra:g.extra_parents ~del:(fun u v -> (v, u)) u
+let out_degree g u = degree_of g g.children ~extra:g.extra_children ~del:g.del_out u
+let in_degree g u = degree_of g g.parents ~extra:g.extra_parents ~del:g.del_in u
 
 let iter_nodes g f =
   for u = 0 to n_nodes g - 1 do
@@ -232,7 +272,7 @@ let nodes_with_label g l =
   if code < 0 || code >= Array.length table then [] else table.(code)
 
 let has_edge g u v =
-  (not (g.n_deleted > 0 && Hashtbl.mem g.deleted (u, v)))
+  (clean_out g u || not (Hashtbl.mem g.deleted (edge_key u v)))
   && (Int_vec.mem_range g.children.arr
         ~lo:(Int_vec.get g.children.off u)
         ~hi:(Int_vec.get g.children.off (u + 1))
@@ -262,6 +302,7 @@ let rebuild_threshold m = max 32 (m / 8)
 let make ?(values = []) ~pool ~labels ~edges () =
   let n = Array.length labels in
   if n = 0 then invalid_arg "Data_graph.make: no nodes";
+  check_size n;
   List.iter (fun (u, v) -> check_range n u v) edges;
   let children, m = csr_of_edges n (fun f -> List.iter (fun (u, v) -> f u v) edges) in
   let parents = reverse_csr n children in
@@ -281,6 +322,8 @@ let make ?(values = []) ~pool ~labels ~edges () =
     extra_children = Array.make n [];
     extra_parents = Array.make n [];
     deleted = Hashtbl.create 8;
+    del_out = [||];
+    del_in = [||];
     n_extra = 0;
     n_deleted = 0;
     rebuild_at = rebuild_threshold m;
@@ -296,6 +339,7 @@ let of_csr ?(values = []) ~pool ~label_codes ~children:(coff, carr)
     ~parents:(poff, parr) () =
   let n = Int_vec.length label_codes in
   if n = 0 then invalid_arg "Data_graph.of_csr: no nodes";
+  check_size n;
   if Int_vec.length coff <> n + 1 || Int_vec.length poff <> n + 1 then
     invalid_arg "Data_graph.of_csr: offset length mismatch";
   let m = Int_vec.get coff n in
@@ -313,6 +357,8 @@ let of_csr ?(values = []) ~pool ~label_codes ~children:(coff, carr)
     extra_children = Array.make n [];
     extra_parents = Array.make n [];
     deleted = Hashtbl.create 8;
+    del_out = [||];
+    del_in = [||];
     n_extra = 0;
     n_deleted = 0;
     rebuild_at = rebuild_threshold m;
@@ -334,6 +380,8 @@ let rebuild_csr g =
   Array.fill g.extra_children 0 n [];
   Array.fill g.extra_parents 0 n [];
   Hashtbl.reset g.deleted;
+  g.del_out <- [||];
+  g.del_in <- [||];
   g.n_extra <- 0;
   g.n_deleted <- 0;
   g.n_edges <- m;
@@ -343,6 +391,56 @@ let maybe_rebuild g =
   if g.n_extra + g.n_deleted > g.rebuild_at then rebuild_csr g
 
 let flatten g = if g.n_extra + g.n_deleted > 0 then rebuild_csr g
+let overflow_size g = g.n_extra + g.n_deleted
+
+let check_invariants g =
+  let fail fmt = Printf.ksprintf failwith ("Data_graph: " ^^ fmt) in
+  let n = n_nodes g in
+  if Hashtbl.length g.deleted <> g.n_deleted then
+    fail "n_deleted = %d but %d tombstones" g.n_deleted (Hashtbl.length g.deleted);
+  let out = Array.make n 0 and inn = Array.make n 0 in
+  Hashtbl.iter
+    (fun key () ->
+      let u = key lsr 31 and v = key land ((1 lsl 31) - 1) in
+      if u >= n || v >= n || not (in_csr g u v) then
+        fail "tombstone (%d, %d) is not a CSR edge" u v;
+      out.(u) <- out.(u) + 1;
+      inn.(v) <- inn.(v) + 1)
+    g.deleted;
+  if Array.length g.del_out = 0 then begin
+    if g.n_deleted > 0 then fail "%d tombstones but no per-endpoint counts" g.n_deleted
+  end
+  else
+    for u = 0 to n - 1 do
+      if g.del_out.(u) <> out.(u) then
+        fail "del_out(%d) = %d but %d tombstones" u g.del_out.(u) out.(u);
+      if g.del_in.(u) <> inn.(u) then
+        fail "del_in(%d) = %d but %d tombstones" u g.del_in.(u) inn.(u)
+    done;
+  let extra = ref 0 and mirrored = ref 0 in
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | _ -> true
+  in
+  for u = 0 to n - 1 do
+    if not (increasing g.extra_children.(u) && increasing g.extra_parents.(u)) then
+      fail "overflow lists of %d are not strictly increasing" u;
+    List.iter
+      (fun v ->
+        incr extra;
+        if in_csr g u v then fail "overflow edge (%d, %d) duplicates a CSR edge" u v;
+        if not (List.memq u g.extra_parents.(v)) then
+          fail "overflow edge (%d, %d) missing from the parent side" u v)
+      g.extra_children.(u);
+    mirrored := !mirrored + List.length g.extra_parents.(u)
+  done;
+  if !extra <> g.n_extra || !mirrored <> g.n_extra then
+    fail "n_extra = %d but %d child-side and %d parent-side overflow edges" g.n_extra
+      !extra !mirrored;
+  let csr_m = Int_vec.get g.children.off n in
+  if g.n_edges <> csr_m - g.n_deleted + g.n_extra then
+    fail "n_edges = %d but %d CSR - %d tombstones + %d overflow" g.n_edges csr_m g.n_deleted
+      g.n_extra
 
 let csr_children g =
   flatten g;
@@ -365,9 +463,11 @@ let add_edge g u v =
   check_range (n_nodes g) u v;
   (* [u] and [v] are validated above, so reads are unchecked on this
      hot path (loaders add edges in bulk). *)
-  if g.n_deleted > 0 && Hashtbl.mem g.deleted (u, v) then begin
+  if not (clean_out g u) && Hashtbl.mem g.deleted (edge_key u v) then begin
     (* The slot still exists in the CSR: just lift the tombstone. *)
-    Hashtbl.remove g.deleted (u, v);
+    Hashtbl.remove g.deleted (edge_key u v);
+    g.del_out.(u) <- g.del_out.(u) - 1;
+    g.del_in.(v) <- g.del_in.(v) - 1;
     g.n_deleted <- g.n_deleted - 1;
     g.n_edges <- g.n_edges + 1
   end
@@ -392,8 +492,8 @@ let add_edge g u v =
       not
         (in_csr || (g.n_extra > 0 && List.memq v (Array.unsafe_get g.extra_children u)))
     then begin
-      Array.unsafe_set g.extra_children u (v :: Array.unsafe_get g.extra_children u);
-      Array.unsafe_set g.extra_parents v (u :: Array.unsafe_get g.extra_parents v);
+      Array.unsafe_set g.extra_children u (insert_sorted v (Array.unsafe_get g.extra_children u));
+      Array.unsafe_set g.extra_parents v (insert_sorted u (Array.unsafe_get g.extra_parents v));
       g.n_extra <- g.n_extra + 1;
       g.n_edges <- g.n_edges + 1;
       if g.n_extra + g.n_deleted > g.rebuild_at then rebuild_csr g
@@ -412,7 +512,13 @@ let remove_edge g u v =
   if not (has_edge g u v) then
     invalid_arg (Printf.sprintf "Data_graph.remove_edge: no edge (%d, %d)" u v);
   if in_csr g u v then begin
-    Hashtbl.replace g.deleted (u, v) ();
+    if Array.length g.del_out = 0 then begin
+      g.del_out <- Array.make (n_nodes g) 0;
+      g.del_in <- Array.make (n_nodes g) 0
+    end;
+    Hashtbl.replace g.deleted (edge_key u v) ();
+    g.del_out.(u) <- g.del_out.(u) + 1;
+    g.del_in.(v) <- g.del_in.(v) + 1;
     g.n_deleted <- g.n_deleted + 1
   end
   else begin
@@ -438,6 +544,8 @@ let copy g =
     extra_children = Array.copy g.extra_children;
     extra_parents = Array.copy g.extra_parents;
     deleted = Hashtbl.copy g.deleted;
+    del_out = Array.copy g.del_out;
+    del_in = Array.copy g.del_in;
     n_extra = g.n_extra;
     n_deleted = g.n_deleted;
     rebuild_at = g.rebuild_at;

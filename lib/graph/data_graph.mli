@@ -15,11 +15,18 @@
     Internally adjacency is stored in CSR (compressed sparse row)
     layout: a flat offsets vector plus a flat neighbor vector per
     direction ({!Int_vec}), each node's neighbor run sorted
-    increasing.  Updates go through a small overflow buffer that is
-    folded back into fresh flat vectors once it exceeds a fraction of
-    the edge count, so {!iter_children}/{!iter_parents} are
-    allocation-free flat loops and {!has_edge} is a binary search in
-    the common case.
+    increasing.  Updates go through a small overflow layer — per-node
+    lists of added edges, and tombstones for removed CSR edges keyed
+    by one immediate int with per-endpoint counts — that is folded
+    back into fresh flat vectors once it exceeds an eighth of the edge
+    count.  {!iter_children}/{!iter_parents} are allocation-free flat
+    loops that probe the tombstone table only on nodes that carry a
+    tombstone (a node with pending added edges merges its sorted
+    overflow list into the run, so every walk sees neighbors in
+    increasing order), and {!has_edge} is a binary search in the
+    common case.
+    Reading the overflow layer never mutates it, so a graph with
+    pending updates is safe to read from several domains at once.
 
     Because the flat storage is {!Int_vec} (a native-int bigarray),
     the CSR sections can also be views into a memory-mapped
@@ -55,29 +62,38 @@ val value : t -> int -> string option
     validation. *)
 
 val iter_children : t -> int -> (int -> unit) -> unit
+(** Visit the children in increasing order, as {!children} lists them,
+    whatever updates are pending in the overflow layer. *)
+
 val iter_parents : t -> int -> (int -> unit) -> unit
+(** Visit the parents in increasing order, as {!parents} lists them. *)
 
 val exists_children : t -> int -> (int -> bool) -> bool
 (** [exists_children g u pred] is [List.exists pred (children g u)]
-    without materializing the list; stops at the first hit. *)
+    without materializing the list: same order, stops at the first
+    hit. *)
 
 val exists_parents : t -> int -> (int -> bool) -> bool
 (** [exists_parents g u pred] is [List.exists pred (parents g u)]
-    without materializing the list; stops at the first hit. *)
+    without materializing the list: same order, stops at the first
+    hit. *)
 
 val iter_nodes : t -> (int -> unit) -> unit
 
-val flatten : t -> unit
-(** Fold any pending overflow updates back into the flat CSR arrays.
-    Semantically a no-op; called implicitly by {!csr_children} and
-    {!csr_parents}. *)
+val overflow_size : t -> int
+(** Pending overflow entries: edges added since the last fold plus
+    tombstones of removed CSR edges.  Read-only; the overflow is folded
+    back into the flat arrays only by the amortized rebuild inside
+    {!add_edge}/{!remove_edge} or by {!csr_children}/{!csr_parents}. *)
 
 val csr_children : t -> Int_vec.t * Int_vec.t
 (** [(off, arr)]: node [u]'s children are [arr.(off.(u)) ..
-    arr.(off.(u + 1) - 1)], sorted increasing.  Flattens pending
-    updates first.  The vectors are the graph's own storage — valid
-    until the next mutation, never to be written.  For allocation-free
-    hot loops that cannot afford a closure per node. *)
+    arr.(off.(u + 1) - 1)], sorted increasing.  Folds pending updates
+    first, so this {e mutates} a graph with a non-empty overflow and
+    must not run on a graph that other domains are reading.  The
+    vectors are the graph's own storage — valid until the next
+    mutation, never to be written.  For allocation-free hot loops that
+    cannot afford a closure per node (index construction). *)
 
 val csr_parents : t -> Int_vec.t * Int_vec.t
 (** The parent-direction counterpart of {!csr_children}. *)
@@ -153,6 +169,13 @@ val graft : t -> t -> t * int
 
 val copy : t -> t
 (** Deep copy; mutations on the copy do not affect the original. *)
+
+val check_invariants : t -> unit
+(** Validate the overflow bookkeeping: every tombstone marks a CSR
+    edge and the per-endpoint tombstone counts match the table, every
+    overflow edge is absent from the CSR and mirrored on the parent
+    side, and the edge count adds up.  Raises [Failure] with a
+    description otherwise.  For tests. *)
 
 (** {1 Statistics} *)
 

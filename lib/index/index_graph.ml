@@ -211,12 +211,12 @@ let has_index_edge t a b =
 (* Balances split bursts against read speed: rebuilding at m/4 made an
    update cascade rebuild the CSR several times over, while letting the
    overflow grow to m leaves enough edges outside the flat arrays to
-   slow query traversal measurably.  (Serving paths sidestep the
-   tradeoff entirely via [prepare_serving].)  The threshold also charges
-   for the id space: [rebuild_csr] scans every id ever allocated, and
-   split cascades grow [next_id] well past the live edge count, so a
-   threshold in edges alone made cascades rebuild ever more expensively
-   at the same frequency. *)
+   slow query traversal measurably.  (Serving copies fold the index
+   overflow in [prepare_serving], which is cheap at index size.)  The
+   threshold also charges for the id space: [rebuild_csr] scans every
+   id ever allocated, and split cascades grow [next_id] well past the
+   live edge count, so a threshold in edges alone made cascades
+   rebuild ever more expensively at the same frequency. *)
 let rebuild_threshold ~next_id m = max 64 ((m + next_id) / 2)
 
 (* Fold the overflow layer back into flat arrays covering every id
@@ -852,9 +852,11 @@ let prepare_serving t =
         t.dead_in_bucket.(code) <- 0
       end)
     t.dead_in_bucket;
-  Data_graph.flatten t.data;
-  (* Force the data graph's lazy label table so concurrent readers
-     never race to build it. *)
+  (* The data graph's overflow layer stays as it is: reading it is
+     mutation-free, and folding it here would cost O(data nodes +
+     edges) per publish for an O(1) edit.  Its amortized rebuild runs
+     inside the mutator's own add/remove.  Force the lazy label table
+     so concurrent readers never race to build it. *)
   ignore (Data_graph.nodes_with_label t.data (Data_graph.label t.data (Data_graph.root t.data)))
 
 let as_data_graph t =
@@ -913,6 +915,7 @@ let partition_signature t =
 let fail fmt = Printf.ksprintf failwith fmt
 
 let check_invariants t =
+  Data_graph.check_invariants t.data;
   let n = Data_graph.n_nodes t.data in
   (* cls maps into live nodes and extents are consistent with cls. *)
   let counted = Array.make t.next_id 0 in

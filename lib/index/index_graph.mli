@@ -210,10 +210,13 @@ val set_tracer : t -> (int -> unit) option -> unit
 
 val prepare_serving : t -> unit
 (** Make the structure safe for concurrent read-only access from
-    multiple domains: flatten index and data adjacency into pure CSR
-    form, compact every label bucket, and force lazily-built tables.
-    After this, all query-side reads are mutation-free until the next
-    update.  {!Query_eval.eval_batch} calls it before spawning. *)
+    multiple domains: flatten the index adjacency into pure CSR form,
+    compact every label bucket, and force lazily-built tables.  The
+    data graph's overflow layer (added edges, tombstones) is left in
+    place — reading it is mutation-free — so publishing an edge update
+    costs nothing proportional to the data graph.  After this, all
+    query-side reads are mutation-free until the next update.
+    {!Query_eval.eval_batch} calls it before spawning. *)
 
 (** {1 Derived views} *)
 

@@ -101,8 +101,10 @@ val eval_batch :
     independent of [domains].
 
     Before spawning, {!Index_graph.prepare_serving} freezes all
-    lazily-materialized state, making the fan-out strictly read-only.
-    The index must not be mutated concurrently. *)
+    lazily-materialized state, making the fan-out strictly read-only;
+    a data graph with pending overflow (added edges, tombstones) is
+    read as it stands, never folded.  The index must not be mutated
+    concurrently. *)
 
 val merge_costs : result array -> Cost.t
 (** Total cost of a batch, accumulated in query order (deterministic

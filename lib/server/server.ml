@@ -520,6 +520,7 @@ let stats_kvs state idx =
     ("n_index_nodes", string_of_int st.Index_stats.n_nodes);
     ("n_index_edges", string_of_int st.n_edges);
     ("n_data_nodes", string_of_int st.n_data_nodes);
+    ("data_overflow", string_of_int (Data_graph.overflow_size (Index_graph.data idx)));
     ("compression", Printf.sprintf "%.3f" st.compression);
     ("largest_extent", string_of_int st.largest_extent);
     ("generation", string_of_int (Index_graph.generation idx));

@@ -16,6 +16,9 @@
       publishes it ({!Dkindex_core.Index_graph.prepare_serving} first,
       one atomic store after) and replays the delta onto the retired
       copy once in-flight readers have drained (left-right scheme).
+      Publishing leaves the data graph's overflow layer in place, so
+      its cost does not grow with the data graph; each copy folds its
+      overflow in its own amortized rebuild, inside the mutator.
 
     Readers therefore never block and never take a lock: acquiring
     the snapshot is an atomic load plus a generation-stamped slot

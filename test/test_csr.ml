@@ -30,6 +30,7 @@ module Model = struct
     Data_graph.iter_edges g (fun u v -> Hashtbl.replace edges (u, v) ());
     { edges; n = Data_graph.n_nodes g }
 
+  let copy m = { m with edges = Hashtbl.copy m.edges }
   let has_edge m u v = Hashtbl.mem m.edges (u, v)
   let add_edge m u v = Hashtbl.replace m.edges (u, v) ()
   let remove_edge m u v = Hashtbl.remove m.edges (u, v)
@@ -54,16 +55,15 @@ let check_node_against_model g m u =
     (List.length (Model.children m u))
     (Data_graph.out_degree g u);
   check_int (tag "in_degree of %d") (List.length (Model.parents m u)) (Data_graph.in_degree g u);
-  (* iterators visit the same neighbors as the materialized lists
-     (pending overflow entries may come out of order, so compare as
-     sorted multisets) *)
+  (* iterators visit the same neighbors as the materialized lists, in
+     the same increasing order, pending overflow entries included *)
   let via_iter f = collect_iter (fun g' init -> let acc = ref init in f (fun x -> acc := g' !acc x); !acc) in
   check_int_list (tag "iter_children of %d")
     (Data_graph.children g u)
-    (List.sort compare (via_iter (Data_graph.iter_children g u)));
+    (via_iter (Data_graph.iter_children g u));
   check_int_list (tag "iter_parents of %d")
     (Data_graph.parents g u)
-    (List.sort compare (via_iter (Data_graph.iter_parents g u)))
+    (via_iter (Data_graph.iter_parents g u))
 
 let check_graph_against_model g m =
   check_int "n_edges" (Model.n_edges m) (Data_graph.n_edges g);
@@ -100,8 +100,175 @@ let churn ~seed ~rounds g m =
   done;
   check_graph_against_model g m
 
+(* ------------------------------------------------------------------ *)
+(* The overflow layer read as it stands *)
+
+(* A graph, its model, and the edge set its CSR holds: the model as of
+   the last moment the overflow layer was empty.  An add or remove
+   that trips the amortized rebuild leaves the overflow empty, so this
+   tracks every fold exactly without looking inside. *)
+type overflow_state = {
+  g : Data_graph.t;
+  m : Model.t;
+  mutable base : (int * int, unit) Hashtbl.t;
+}
+
+let edges_where tbl pred =
+  List.sort compare (Hashtbl.fold (fun e () acc -> if pred e then e :: acc else acc) tbl [])
+
+let tombstones st = edges_where st.base (fun e -> not (Hashtbl.mem st.m.Model.edges e))
+
+(* Every per-node observer against the model's neighbor lists (built
+   once per check), [has_edge] on every live edge, every tombstoned
+   one and a band of ids around the diagonal (absent pairs included),
+   and the overflow size against the model's view of the layer. *)
+let check_overflow_state st =
+  let g = st.g and n = Data_graph.n_nodes st.g in
+  Data_graph.check_invariants g;
+  check_int "n_edges" (Model.n_edges st.m) (Data_graph.n_edges g);
+  let kids = Array.make n [] and pars = Array.make n [] in
+  List.iter
+    (fun (u, v) ->
+      kids.(u) <- v :: kids.(u);
+      pars.(v) <- u :: pars.(v))
+    (List.rev (edges_where st.m.Model.edges (fun _ -> true)));
+  (* Walks come out in increasing order, as from a folded run. *)
+  let iterated iter u =
+    let seen = ref [] in
+    iter g u (fun x -> seen := x :: !seen);
+    List.rev !seen
+  in
+  let exists_visits exists u =
+    let seen = ref [] in
+    if exists g u (fun x -> seen := x :: !seen; false) then
+      Alcotest.failf "never-true exists held on %d" u;
+    List.rev !seen
+  in
+  let same what u want got =
+    if want <> got then
+      Alcotest.failf "%s of %d: want [%s], got [%s]" what u
+        (String.concat "; " (List.map string_of_int want))
+        (String.concat "; " (List.map string_of_int got))
+  in
+  for u = 0 to n - 1 do
+    same "children" u kids.(u) (Data_graph.children g u);
+    same "parents" u pars.(u) (Data_graph.parents g u);
+    same "out_degree" u [ List.length kids.(u) ] [ Data_graph.out_degree g u ];
+    same "in_degree" u [ List.length pars.(u) ] [ Data_graph.in_degree g u ];
+    same "iter_children" u kids.(u) (iterated Data_graph.iter_children u);
+    same "iter_parents" u pars.(u) (iterated Data_graph.iter_parents u);
+    same "exists_children visits" u kids.(u) (exists_visits Data_graph.exists_children u);
+    same "exists_parents visits" u pars.(u) (exists_visits Data_graph.exists_parents u);
+    List.iter
+      (fun x ->
+        if not (Data_graph.exists_children g u (fun c -> c = x)) then
+          Alcotest.failf "exists_children missed %d -> %d" u x)
+      kids.(u);
+    List.iter
+      (fun x ->
+        if not (Data_graph.exists_parents g u (fun p -> p = x)) then
+          Alcotest.failf "exists_parents missed %d -> %d" x u)
+      pars.(u)
+  done;
+  let has (u, v) =
+    if Data_graph.has_edge g u v <> Model.has_edge st.m u v then
+      Alcotest.failf "has_edge (%d, %d)" u v
+  in
+  Hashtbl.iter (fun e () -> has e) st.m.Model.edges;
+  List.iter has (tombstones st);
+  for u = 0 to n - 1 do
+    for d = -2 to 2 do
+      has (u, (u + d + n) mod n)
+    done
+  done;
+  let added = edges_where st.m.Model.edges (fun e -> not (Hashtbl.mem st.base e)) in
+  check_int "overflow_size = overflow edges + tombstones"
+    (List.length added + List.length (tombstones st))
+    (Data_graph.overflow_size g)
+
+(* One step aimed at one kind of overflow entry: add a fresh edge,
+   re-add a tombstoned one, remove a CSR edge, or remove an overflow
+   edge.  Steps with no target of their kind do nothing. *)
+let overflow_step rng st kind =
+  let pick = function
+    | [] -> None
+    | l -> Some (List.nth l (Prng.int rng (List.length l)))
+  in
+  let in_model e = Hashtbl.mem st.m.Model.edges e and in_base e = Hashtbl.mem st.base e in
+  let n = Data_graph.n_nodes st.g in
+  let target =
+    match kind with
+    | `Add_fresh ->
+      let rec fresh tries =
+        let e = (Prng.int rng n, Prng.int rng n) in
+        if not (in_model e || in_base e) then Some e
+        else if tries = 0 then None
+        else fresh (tries - 1)
+      in
+      fresh 20
+    | `Readd_tombstoned -> pick (tombstones st)
+    | `Remove_csr -> pick (edges_where st.base in_model)
+    | `Remove_overflow -> pick (edges_where st.m.Model.edges (fun e -> not (in_base e)))
+  in
+  Option.iter
+    (fun (u, v) ->
+      (match kind with
+      | `Add_fresh | `Readd_tombstoned ->
+        Data_graph.add_edge st.g u v;
+        Model.add_edge st.m u v
+      | `Remove_csr | `Remove_overflow ->
+        Data_graph.remove_edge st.g u v;
+        Model.remove_edge st.m u v);
+      if Data_graph.overflow_size st.g = 0 then st.base <- Hashtbl.copy st.m.Model.edges)
+    target
+
+let random_overflow_step rng st =
+  overflow_step rng st
+    (match Prng.int rng 4 with
+    | 0 -> `Add_fresh
+    | 1 -> `Readd_tombstoned
+    | 2 -> `Remove_csr
+    | _ -> `Remove_overflow)
+
+(* Churn with [copy] at random points.  Each copy is taken with a
+   tombstone live; then the original and the copy are mutated in turn,
+   and each must still match its own model. *)
+let overflow_churn ~seed ~steps g =
+  let rng = Prng.create ~seed in
+  let m = Model.of_graph g in
+  let st = ref { g; m; base = Hashtbl.copy m.Model.edges } in
+  check_overflow_state !st;
+  let copies = ref 0 in
+  for _ = 1 to steps do
+    if Prng.int rng 12 = 0 then begin
+      overflow_step rng !st `Remove_csr;
+      check_bool "a tombstone is live at the copy" true (tombstones !st <> []);
+      let orig = !st in
+      let c = { g = Data_graph.copy orig.g; m = Model.copy orig.m; base = Hashtbl.copy orig.base } in
+      check_overflow_state c;
+      for _ = 1 to 3 do random_overflow_step rng orig done;
+      check_overflow_state orig;
+      check_overflow_state c;
+      for _ = 1 to 3 do random_overflow_step rng c done;
+      check_overflow_state orig;
+      check_overflow_state c;
+      st := c;
+      incr copies
+    end
+    else begin
+      random_overflow_step rng !st;
+      check_overflow_state !st
+    end
+  done;
+  check_bool "copies taken" true (!copies > 0)
+
 let graph_cases =
   [
+    test "overflow layer matches the edge-set model through churn and copies" (fun () ->
+        List.iter
+          (fun seed -> overflow_churn ~seed:(seed + 1000) ~steps:250 (random_graph ~seed ~nodes:60))
+          [ 14; 15; 16 ];
+        overflow_churn ~seed:1017 ~steps:120 (Dkindex_datagen.Xmark.graph ~seed:9 ~scale:2 ()));
     test "random graphs match the edge-set model through churn" (fun () ->
         List.iter
           (fun seed ->

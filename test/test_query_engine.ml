@@ -188,6 +188,111 @@ let batch_tests =
                   b.Query_eval.cost.Cost.data_visits)
               sequential)
           [ 1; 2; 4 ]);
+    test "parallel eval_batch reads a live data overflow exactly" (fun () ->
+        (* Base-edge removes leave tombstones and fresh adds leave
+           overflow edges; too few of either to trip the amortized
+           rebuild, and neither prepare_serving nor the 2-domain
+           fan-out may fold them. *)
+        let g = Dkindex_datagen.Xmark.graph ~seed:847 ~scale:15 () in
+        let queries = Query_gen.generate ~seed:848 ~count:160 g in
+        (* 128 queries is where eval_batch starts spawning domains. *)
+        check_bool "past the parallel threshold" true (List.length queries >= 128);
+        (* No requirements: every multi-step answer is validated
+           against the data graph, overflow included. *)
+        let idx = Dk_index.build g ~reqs:[] in
+        let rng = Prng.create ~seed:849 in
+        let n = Data_graph.n_nodes g in
+        let base = ref [] in
+        Data_graph.iter_edges g (fun u v -> base := (u, v) :: !base);
+        let base = Array.of_list !base in
+        let removed = Hashtbl.create 16 in
+        while Hashtbl.length removed < 12 do
+          let u, v = base.(Prng.int rng (Array.length base)) in
+          if not (Hashtbl.mem removed (u, v)) then begin
+            Dk_update.remove_edge idx u v;
+            Hashtbl.replace removed (u, v) ()
+          end
+        done;
+        (* Each added parent u of v shares its label with an existing
+           parent p > u: the added edges lie on label paths the queries
+           validate, and u sorts before p in v's parent run. *)
+        let added = ref 0 in
+        while !added < 12 do
+          let v = 1 + Prng.int rng (n - 1) in
+          match Data_graph.parents g v with
+          | [] -> ()
+          | ps ->
+            let p = List.nth ps (Prng.int rng (List.length ps)) in
+            let same = Data_graph.nodes_with_label g (Data_graph.label g p) in
+            let u = List.nth same (Prng.int rng (List.length same)) in
+            if u < p && not (Data_graph.has_edge g u v || Hashtbl.mem removed (u, v)) then begin
+              Dk_update.add_edge idx u v;
+              incr added
+            end
+        done;
+        Index_graph.check_invariants idx;
+        check_int "overflow holds every tombstone and added edge" 24
+          (Data_graph.overflow_size g);
+        let seq = Query_eval.eval_batch ~domains:1 ~cache:false idx queries in
+        let par = Query_eval.eval_batch ~domains:2 ~cache:false idx queries in
+        check_int "overflow survives prepare_serving and the fan-out" 24
+          (Data_graph.overflow_size g);
+        List.iteri
+          (fun i q ->
+            let tag = Printf.sprintf "q=%d" i in
+            check_int_list (tag ^ " oracle") (oracle_path g q) par.(i).Query_eval.nodes;
+            check_int_list (tag ^ " d=1") seq.(i).Query_eval.nodes par.(i).Query_eval.nodes;
+            check_int (tag ^ " data visits") seq.(i).Query_eval.cost.Cost.data_visits
+              par.(i).Query_eval.cost.Cost.data_visits)
+          queries;
+        (* Folding the overflow changes the layout, not one answer or
+           cost: walks see neighbors in the same order either way. *)
+        ignore (Data_graph.csr_children g);
+        check_int "folded" 0 (Data_graph.overflow_size g);
+        let folded = Query_eval.eval_batch ~domains:1 ~cache:false idx queries in
+        Array.iteri
+          (fun i r ->
+            let tag = Printf.sprintf "folded q=%d" i in
+            check_int_list tag seq.(i).Query_eval.nodes r.Query_eval.nodes;
+            check_int (tag ^ " index visits") seq.(i).Query_eval.cost.Cost.index_visits
+              r.Query_eval.cost.Cost.index_visits;
+            check_int (tag ^ " data visits") seq.(i).Query_eval.cost.Cost.data_visits
+              r.Query_eval.cost.Cost.data_visits)
+          folded);
+    test "costs do not depend on the overflow layout: live vs reloaded index" (fun () ->
+        (* dkserve's recovery check in miniature: the served index
+           holds the update edges in its overflow layer, the reloaded
+           one (a checkpoint) has them folded into fresh CSR runs.
+           Answers and validation costs must agree bit for bit. *)
+        let ds = Dkindex_server.Dataset.make ~scale:10 () in
+        List.iteri
+          (fun i (u, v) ->
+            if i < 50 && not (Data_graph.has_edge ds.graph u v) then
+              Dk_update.add_edge ds.index u v)
+          ds.update_edges;
+        check_bool "updates pending in the overflow" true
+          (Data_graph.overflow_size ds.graph > 0);
+        let reloaded = Index_serial.of_string (Index_serial.to_string ds.index) in
+        check_int "reloaded overflow" 0 (Data_graph.overflow_size (Index_graph.data reloaded));
+        let queries idx =
+          let pool = Data_graph.pool (Index_graph.data idx) in
+          List.map
+            (fun q -> Array.of_list (List.map (Label.Pool.intern pool) q))
+            ds.queries
+        in
+        let eval idx =
+          Query_eval.eval_batch ~domains:1 ~strategy:`Forward ~cache:false idx (queries idx)
+        in
+        let live = eval ds.index and back = eval reloaded in
+        Array.iteri
+          (fun i r ->
+            let tag = Printf.sprintf "q=%d" i in
+            check_int_list tag r.Query_eval.nodes back.(i).Query_eval.nodes;
+            check_int (tag ^ " index visits") r.Query_eval.cost.Cost.index_visits
+              back.(i).Query_eval.cost.Cost.index_visits;
+            check_int (tag ^ " data visits") r.Query_eval.cost.Cost.data_visits
+              back.(i).Query_eval.cost.Cost.data_visits)
+          live);
     test "eval_batch answers are identical with and without caching" (fun () ->
         let g = Dkindex_datagen.Xmark.graph ~seed:843 ~scale:10 () in
         let queries = Query_gen.generate ~seed:844 ~count:50 g in

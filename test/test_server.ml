@@ -920,14 +920,11 @@ let test_pipelined_ordering () =
     Client.close c;
     Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0)
 
-(* A write that fails inside [Checkpoint.apply_mutation] leaves the
-   spare copy suspect; the next write rebuilds it from the serving copy
-   ([Index_graph.copy]) before applying.  Removing an absent edge
-   between valid nodes is such a write.  Every later acknowledged write
-   must leave reads equal to the in-process oracle, whichever physical
-   copy serves them. *)
-let test_spare_rebuild () =
-  let g, idx = build_smoke_dataset () in
+(* Fork a one-worker server child serving [idx] on an ephemeral port
+   and run [f port] against it; [f] must stop it with [Wire.Shutdown],
+   after which the child has to exit cleanly.  A failed check must not
+   leave the child running, so it is killed then. *)
+let with_forked_server idx f =
   let r, w = Unix.pipe () in
   match Unix.fork () with
   | 0 ->
@@ -949,7 +946,6 @@ let test_spare_rebuild () =
     in
     Unix._exit status
   | pid ->
-    (* A failed check must not leave the server child running. *)
     let reaped = ref false in
     Fun.protect ~finally:(fun () ->
         if not !reaped then (
@@ -961,62 +957,131 @@ let test_spare_rebuild () =
     Unix.close w;
     let port = read_port_line r in
     Unix.close r;
-    let c = Client.connect ~port () in
-    let n = Data_graph.n_nodes g in
-    let rng = Prng.create ~seed:23 in
-    let rec absent () =
-      let u = Prng.int rng n and v = 1 + Prng.int rng (n - 1) in
-      if u <> v && not (Data_graph.has_edge g u v) then (u, v) else absent ()
-    in
-    let has_edge u v =
-      match Client.call c (Wire.Has_edge { u; v }) with
-      | Wire.Edge_reply { present; _ } -> present
-      | _ -> Alcotest.fail "expected Edge_reply"
-    in
-    let check_reads what (u, v) =
-      Index_graph.prepare_serving idx;
-      List.iter (check_against_local idx c) smoke_queries;
-      Alcotest.(check bool) (what ^ ": has_edge") (Data_graph.has_edge g u v) (has_edge u v)
-    in
-    let fail_write () =
-      let u, v = absent () in
-      (match Client.call c (Wire.Remove_edge { u; v }) with
-      | Wire.Error_reply { code = `App; _ } -> ()
-      | _ -> Alcotest.fail "removing an absent edge must fail");
-      check_reads "after the failed write" (u, v)
-    in
-    let write req apply (u, v) =
-      (match Client.call c req with
-      | Wire.Ok_reply _ -> ()
-      | _ -> Alcotest.fail "expected Ok_reply");
-      apply idx u v;
-      check_reads (Printf.sprintf "after write (%d, %d)" u v) (u, v)
-    in
-    let added = ref [] in
-    let add () =
-      let u, v = absent () in
-      write (Wire.Add_edge { u; v }) Dk_update.add_edge (u, v);
-      added := (u, v) :: !added
-    in
-    let remove () =
-      match !added with
-      | [] -> ()
-      | (u, v) :: rest ->
-        added := rest;
-        write (Wire.Remove_edge { u; v }) Dk_update.remove_edge (u, v)
-    in
-    (* A failure on a clean pair, then one with a lag pending. *)
-    fail_write ();
-    List.iter (fun f -> f ()) [ add; add; remove; add ];
-    fail_write ();
-    List.iter (fun f -> f ()) [ add; remove; add; remove; remove; add ];
-    (match Client.call c Wire.Shutdown with
-    | Wire.Ok_reply _ -> ()
-    | _ -> Alcotest.fail "expected Ok_reply for Shutdown");
+    f port;
     let _, status = Unix.waitpid [] pid in
     reaped := true;
-    Client.close c;
     Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0)
+
+let shutdown c =
+  (match Client.call c Wire.Shutdown with
+  | Wire.Ok_reply _ -> ()
+  | _ -> Alcotest.fail "expected Ok_reply for Shutdown");
+  Client.close c
+
+(* A write that fails inside [Checkpoint.apply_mutation] leaves the
+   spare copy suspect; the next write rebuilds it from the serving copy
+   ([Index_graph.copy]) before applying.  Removing an absent edge
+   between valid nodes is such a write.  Every later acknowledged write
+   must leave reads equal to the in-process oracle, whichever physical
+   copy serves them. *)
+let test_spare_rebuild () =
+  let g, idx = build_smoke_dataset () in
+  with_forked_server idx @@ fun port ->
+  let c = Client.connect ~port () in
+  let n = Data_graph.n_nodes g in
+  let rng = Prng.create ~seed:23 in
+  let rec absent () =
+    let u = Prng.int rng n and v = 1 + Prng.int rng (n - 1) in
+    if u <> v && not (Data_graph.has_edge g u v) then (u, v) else absent ()
+  in
+  let has_edge u v =
+    match Client.call c (Wire.Has_edge { u; v }) with
+    | Wire.Edge_reply { present; _ } -> present
+    | _ -> Alcotest.fail "expected Edge_reply"
+  in
+  let check_reads what (u, v) =
+    Index_graph.prepare_serving idx;
+    List.iter (check_against_local idx c) smoke_queries;
+    Alcotest.(check bool) (what ^ ": has_edge") (Data_graph.has_edge g u v) (has_edge u v)
+  in
+  let fail_write () =
+    let u, v = absent () in
+    (match Client.call c (Wire.Remove_edge { u; v }) with
+    | Wire.Error_reply { code = `App; _ } -> ()
+    | _ -> Alcotest.fail "removing an absent edge must fail");
+    check_reads "after the failed write" (u, v)
+  in
+  let write req apply (u, v) =
+    (match Client.call c req with
+    | Wire.Ok_reply _ -> ()
+    | _ -> Alcotest.fail "expected Ok_reply");
+    apply idx u v;
+    check_reads (Printf.sprintf "after write (%d, %d)" u v) (u, v)
+  in
+  let added = ref [] in
+  let add () =
+    let u, v = absent () in
+    write (Wire.Add_edge { u; v }) Dk_update.add_edge (u, v);
+    added := (u, v) :: !added
+  in
+  let remove () =
+    match !added with
+    | [] -> ()
+    | (u, v) :: rest ->
+      added := rest;
+      write (Wire.Remove_edge { u; v }) Dk_update.remove_edge (u, v)
+  in
+  (* A failure on a clean pair, then one with a lag pending. *)
+  fail_write ();
+  List.iter (fun f -> f ()) [ add; add; remove; add ];
+  fail_write ();
+  List.iter (fun f -> f ()) [ add; remove; add; remove; remove; add ];
+  shutdown c
+
+(* Publishing a write leaves the data graph's overflow layer in place:
+   a stream that removes base-graph edges (tombstones) and adds fresh
+   ones (overflow edges) must keep every read equal to the in-process
+   oracle, and the serving copy must report the same overflow as the
+   oracle — a publish that folded the data CSR would report 0. *)
+let test_publish_keeps_overflow () =
+  let g, idx = build_smoke_dataset () in
+  with_forked_server idx @@ fun port ->
+  let c = Client.connect ~port () in
+  let n = Data_graph.n_nodes g in
+  let rng = Prng.create ~seed:31 in
+  let base = ref [] in
+  Data_graph.iter_edges g (fun u v -> base := (u, v) :: !base);
+  let base = Array.of_list (List.rev !base) in
+  let served_overflow () =
+    match Client.call c Wire.Stats with
+    | Wire.Stats_reply kvs -> (
+      match List.assoc_opt "data_overflow" kvs with
+      | Some s -> int_of_string s
+      | None -> Alcotest.fail "stats lacks data_overflow")
+    | _ -> Alcotest.fail "expected Stats_reply"
+  in
+  let write what req apply (u, v) =
+    (match Client.call c req with
+    | Wire.Ok_reply _ -> ()
+    | _ -> Alcotest.fail ("expected Ok_reply for " ^ what));
+    apply idx u v;
+    Index_graph.prepare_serving idx;
+    List.iter (check_against_local idx c) smoke_queries;
+    (match Client.call c (Wire.Has_edge { u; v }) with
+    | Wire.Edge_reply { present; _ } ->
+      Alcotest.(check bool) (what ^ ": has_edge") (Data_graph.has_edge g u v) present
+    | _ -> Alcotest.fail "expected Edge_reply");
+    Alcotest.(check int) (what ^ ": served overflow") (Data_graph.overflow_size g)
+      (served_overflow ())
+  in
+  let rec fresh () =
+    let u = Prng.int rng n and v = 1 + Prng.int rng (n - 1) in
+    if u <> v && not (Data_graph.has_edge g u v) then (u, v) else fresh ()
+  in
+  for i = 1 to 8 do
+    let rec base_edge () =
+      let u, v = base.(Prng.int rng (Array.length base)) in
+      if Data_graph.has_edge g u v then (u, v) else base_edge ()
+    in
+    let u, v = base_edge () in
+    write (Printf.sprintf "remove %d (%d, %d)" i u v) (Wire.Remove_edge { u; v })
+      Dk_update.remove_edge (u, v);
+    let u, v = fresh () in
+    write (Printf.sprintf "add %d (%d, %d)" i u v) (Wire.Add_edge { u; v }) Dk_update.add_edge
+      (u, v)
+  done;
+  Alcotest.(check int) "tombstones and added edges all pending" 16 (served_overflow ());
+  shutdown c
 
 (* Snapshot churn: reader domains hammer queries while the main
    thread streams edge updates through the write path.  Every answer
@@ -1178,6 +1243,8 @@ let () =
             test_pipelined_ordering;
           Alcotest.test_case "a failed write rebuilds the spare; reads stay exact" `Quick
             test_spare_rebuild;
+          Alcotest.test_case "a publish keeps the data overflow; reads stay exact" `Quick
+            test_publish_keeps_overflow;
           (* Last forking test: it spawns reader domains in the
              parent, after which Unix.fork is no longer available. *)
           Alcotest.test_case "no torn reads under snapshot churn" `Quick test_snapshot_churn;
